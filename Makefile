@@ -17,7 +17,7 @@ BASELINE ?= $(firstword $(sort $(wildcard BENCH_*.json)))
 CANDIDATE ?= BENCH_$(SHA).json
 THRESHOLD ?= 5
 
-.PHONY: check vet staticcheck build test race bench benchsmoke benchdiff fuzzsmoke fmt
+.PHONY: check vet staticcheck build test race stress bench benchsmoke benchdiff fuzzsmoke fmt
 
 # check is the tier-1 gate: vet, staticcheck (when installed), build,
 # the full test suite under the race detector, a one-iteration
@@ -48,6 +48,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# stress re-runs the concurrent relay and merge tests many times under
+# the race detector, so a test that fails one run in ten shows up here
+# instead of flaking in the tier-1 gate. TestCloseRacingInject alone
+# runs ~40 s under -race on 2 CPUs, hence the longer timeout.
+STRESSCOUNT ?= 20
+stress:
+	$(GO) test -race -count=$(STRESSCOUNT) ./internal/isruntime/relay/ ./internal/trace/
+	$(GO) test -race -count=$(STRESSCOUNT) -timeout 30m -run 'TestMerge|TestShardedOrderedEquivalence|TestCloseRacingInject' ./internal/isruntime/ism/
 
 # bench records a committed baseline: -count runs of every benchmark,
 # aggregated into BENCH_<sha>.json (ns/op min/mean/max, allocs/op, and

@@ -608,24 +608,27 @@ func (m *ISM) runShard(s *ismShard) {
 // and hands the program-ordered releases to the merger as one ring
 // slot. The whole batch is sequenced in one pass — one batch-pool
 // round trip, one ring push, one frontier update per LIS flush instead
-// of per record. A full ring parks the lane on the space signal, which
-// backpressures the input stage under its overflow policy.
+// of per record — and a run at a time: the sequencer's cursor is read
+// and written once per same-source run. A full ring parks the lane on
+// the space signal, which backpressures the input stage under its
+// overflow policy.
 func (m *ISM) sequenceBatch(s *ismShard, env batchEnv) {
 	n := uint64(len(env.recs))
 	m.ctr.arrived.Add(n)
 	out, pooled := env.recs, env.pooled
 	if s.seq != nil {
 		buf := flow.GetBatch(len(env.recs))
-		for _, r := range env.recs {
-			// The sensor carried the capture sequence in Logical; the
-			// merger reassigns Logical as a Lamport stamp on dispatch.
-			seq := r.Logical
-			r.Logical = 0
-			prev := len(buf)
-			buf = s.seq.AddTo(buf, r, seq)
-			if len(buf) == prev {
-				m.ctr.outOfOrder.Inc()
-			}
+		ooo := s.seq.OutOfOrder()
+		// The sensor carried the capture sequence in Logical; the merger
+		// reassigns Logical (Lamport stamp or uplink sequence) on
+		// dispatch.
+		for rest := env.recs; len(rest) > 0; {
+			n := trace.RunLen(rest)
+			buf = s.seq.AddRun(buf, rest[:n])
+			rest = rest[n:]
+		}
+		if d := s.seq.OutOfOrder() - ooo; d > 0 {
+			m.ctr.outOfOrder.Add(d)
 		}
 		if env.pooled {
 			flow.PutBatch(env.recs)

@@ -268,10 +268,16 @@ func (g *merger) dispatch(slot mergeSlot) {
 			// program order with a fresh per-source uplink sequence in
 			// Logical — contiguous even when the inbound capture
 			// sequence stream was not (dedup, resume adoption).
-			for i := range slot.recs {
-				key := trace.SourceKey{Node: slot.recs[i].Node, Process: slot.recs[i].Process}
-				slot.recs[i].Logical = g.uplinkSeq[key]
-				g.uplinkSeq[key]++
+			for rest := slot.recs; len(rest) > 0; {
+				run := rest[:trace.RunLen(rest)]
+				rest = rest[len(run):]
+				key := trace.SourceKey{Node: run[0].Node, Process: run[0].Process}
+				next := g.uplinkSeq[key]
+				for i := range run {
+					run[i].Logical = next
+					next++
+				}
+				g.uplinkSeq[key] = next
 			}
 		}
 		m.ctr.latency.Observe(m.clock.Now() - slot.arrival)
@@ -279,12 +285,14 @@ func (g *merger) dispatch(slot mergeSlot) {
 		m.emitAll(slot.recs)
 	} else {
 		out := g.orderBuf[:0]
-		for _, r := range slot.recs {
-			prev := len(out)
-			out = g.cm.AddTo(out, r)
-			if len(out) == prev {
-				m.ctr.outOfOrder.Inc()
-			}
+		ooo := g.cm.OutOfOrder()
+		for rest := slot.recs; len(rest) > 0; {
+			n := trace.RunLen(rest)
+			out = g.cm.AddRun(out, rest[:n])
+			rest = rest[n:]
+		}
+		if d := g.cm.OutOfOrder() - ooo; d > 0 {
+			m.ctr.outOfOrder.Add(d)
 		}
 		if h := g.cm.Held(); h != g.lastHeld {
 			m.ctr.held.Add(int64(h - g.lastHeld))

@@ -131,7 +131,11 @@ type lane struct {
 	nextBatch int64 // highest contiguously admitted session seq
 	held      map[int64]heldBatch
 	seq       *trace.Sequencer
-	scratch   map[trace.SourceKey]uint64 // per-batch ack-need accumulator
+	// claims caches this lane's ownership verdicts: ownership never
+	// changes once decided, so the relay-wide owner table (and its
+	// mutex) is consulted once per new source, not once per record.
+	claims  map[trace.SourceKey]bool
+	needBuf []sourceNeed // per-batch ack-need accumulator
 
 	ring  *flow.SPSC[laneSlot]
 	space chan struct{}
@@ -253,6 +257,13 @@ type Relay struct {
 // New creates and starts a relay. Resume records, if any, are absorbed
 // before any downstream is served.
 func New(cfg Config) *Relay {
+	r := newRelay(cfg)
+	go r.run()
+	return r
+}
+
+// newRelay builds a relay without starting its merger goroutine.
+func newRelay(cfg Config) *Relay {
 	if cfg.LaneRing <= 0 {
 		cfg.LaneRing = 256
 	}
@@ -321,7 +332,6 @@ func New(cfg Config) *Relay {
 		AckFrontier: r.ackFrontier,
 		OnHello:     r.onHello,
 	})
-	go r.run()
 	return r
 }
 
@@ -426,13 +436,13 @@ func (r *Relay) laneFor(node int32) *lane {
 	}
 	cur := *r.lanes.Load()
 	ln := &lane{
-		node:    node,
-		idx:     len(cur),
-		held:    make(map[int64]heldBatch),
-		seq:     trace.NewSequencer(),
-		scratch: make(map[trace.SourceKey]uint64),
-		ring:    flow.NewSPSC[laneSlot](r.cfg.LaneRing),
-		space:   make(chan struct{}, 1),
+		node:   node,
+		idx:    len(cur),
+		held:   make(map[int64]heldBatch),
+		seq:    trace.NewSequencer(),
+		claims: make(map[trace.SourceKey]bool),
+		ring:   flow.NewSPSC[laneSlot](r.cfg.LaneRing),
+		space:  make(chan struct{}, 1),
 	}
 	// A relay can (re)start against downstreams already mid-stream; the
 	// restore cursors override adoption per source as they are claimed.
@@ -526,7 +536,10 @@ func (r *Relay) admit(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 
 // process runs one contiguously admitted batch: watermark application
 // for marks; ownership check, record-granular dedup, ring hand-off and
-// ack gating for data. Runs with ln.admitMu held.
+// ack gating for data. Data is admitted a run at a time (a run is a
+// maximal stretch of one source's records): one ownership check, one
+// sequencer call and one ack-need fold per run. Runs with ln.admitMu
+// held.
 func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 	if isMarkBatch(recs) {
 		w := recs[0].Time
@@ -542,27 +555,28 @@ func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 		r.signal()
 		return
 	}
-	for k := range ln.scratch {
-		delete(ln.scratch, k)
-	}
 	out := flow.GetBatch(len(recs))
 	held0 := ln.seq.Held()
 	maxT := int64(math.MinInt64)
 	rejects := 0
-	for _, rec := range recs {
-		key := trace.SourceKey{Node: rec.Node, Process: rec.Process}
+	needs := ln.needBuf[:0]
+	for rest := recs; len(rest) > 0; {
+		run := rest[:trace.RunLen(rest)]
+		rest = rest[len(run):]
+		key := trace.SourceKey{Node: run[0].Node, Process: run[0].Process}
 		if !r.claim(key, ln) {
-			rejects++
+			rejects += len(run)
 			continue
 		}
-		if rec.Time > maxT {
-			maxT = rec.Time
+		maxSeq := run[0].Logical
+		for i := range run {
+			maxT = max(maxT, run[i].Time)
+			maxSeq = max(maxSeq, run[i].Logical)
 		}
-		if s, ok := ln.scratch[key]; !ok || rec.Logical > s {
-			ln.scratch[key] = rec.Logical
-		}
-		out = ln.seq.AddTo(out, rec, rec.Logical)
+		needs = foldNeed(needs, key, maxSeq)
+		out = ln.seq.AddRun(out, run)
 	}
+	ln.needBuf = needs
 	if rejects > 0 {
 		r.mRejects.Add(uint64(rejects))
 	}
@@ -575,13 +589,8 @@ func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 	if absorbed := len(recs) - rejects - len(out) - heldDelta; absorbed > 0 {
 		r.mDups.Add(uint64(absorbed))
 	}
-	var needs []sourceNeed
-	if len(ln.scratch) > 0 {
-		needs = make([]sourceNeed, 0, len(ln.scratch))
-		for k, s := range ln.scratch {
-			needs = append(needs, sourceNeed{key: k, seq: s})
-		}
-	}
+	// The entry outlives the batch; needBuf is reused for the next one.
+	needs = append([]sourceNeed(nil), needs...)
 	ln.ackMu.Lock()
 	ln.pendAcks = append(ln.pendAcks, ackEntry{seq: seq, needs: needs})
 	ln.ackMu.Unlock()
@@ -608,21 +617,39 @@ func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 	r.signal()
 }
 
+// foldNeed raises key's ack need in needs to at least seq, appending
+// the key if the batch has not named it yet. A batch names few
+// sources, so a linear scan beats a map.
+func foldNeed(needs []sourceNeed, key trace.SourceKey, seq uint64) []sourceNeed {
+	for i := range needs {
+		if needs[i].key == key {
+			needs[i].seq = max(needs[i].seq, seq)
+			return needs
+		}
+	}
+	return append(needs, sourceNeed{key: key, seq: seq})
+}
+
 // claim enforces source partitioning: a source's first lane owns it
 // for the relay's lifetime, and the first claim installs the restore
 // cursor rebuilt from Config.Resume into the owning lane's sequencer.
+// Verdicts are cached per lane, so only a lane's first sight of a
+// source takes the relay-wide lock.
 func (r *Relay) claim(key trace.SourceKey, ln *lane) bool {
+	if owned, ok := ln.claims[key]; ok {
+		return owned
+	}
 	r.ownMu.Lock()
 	owner, ok := r.owner[key]
 	if !ok {
+		owner = ln
 		r.owner[key] = ln
 		if n, ok := r.restoreNext[key]; ok {
 			ln.seq.SetNext(key, n)
 		}
-		r.ownMu.Unlock()
-		return true
 	}
 	r.ownMu.Unlock()
+	ln.claims[key] = owner == ln
 	return owner == ln
 }
 
@@ -634,11 +661,12 @@ func (r *Relay) signal() {
 	}
 }
 
-// run is the merger goroutine: a record-granular k-way merge over the
-// lane rings on the (Time, Node, Process) total order, gated by the
-// per-lane watermark rule, feeding the causal merger (root) or the
-// pass-through dispatch (inner tier). Acknowledgements advance only
-// here, after emission — the dispatch gate.
+// run is the merger goroutine: a k-way merge over the lane rings on
+// the (Time, Node, Process) total order, dispatched in same-source runs
+// but gated record by record by the per-lane watermark rule, feeding
+// the causal merger (root) or the pass-through dispatch (inner tier).
+// Acknowledgements advance only here, after emission — the dispatch
+// gate.
 func (r *Relay) run() {
 	defer close(r.runDone)
 	for {
@@ -704,8 +732,14 @@ func (r *Relay) refill(lanes []*lane) {
 	}
 }
 
-// step dispatches at most one record and reports whether it made
-// progress. No progress with stalled >= 0 is a watermark stall.
+// step dispatches at most one run of records and reports whether it
+// made progress. No progress with stalled >= 0 is a watermark stall.
+//
+// The run starts with the minimum head and extends over the head
+// lane's following records of the same source for as long as each one
+// is exactly what a record-at-a-time merge would pick next: it sorts
+// before every other lane's head and clears the watermark rule on its
+// own Time. A forced record (a MaxStall break) is dispatched alone.
 func (r *Relay) step() bool {
 	r.stalled = -1
 	lanes := *r.lanes.Load()
@@ -717,8 +751,10 @@ func (r *Relay) step() bool {
 	}
 	li := int(r.heap[0])
 	h := &r.heads[li]
-	rec := h.recs[h.pos]
-	if !r.closing.Load() && !r.clearFor(lanes, li, rec.Time) {
+	first := &h.recs[h.pos]
+	closing := r.closing.Load()
+	forced := false
+	if !closing && !r.clearFor(lanes, li, first.Time) {
 		if r.retry {
 			r.retry = false
 			return true
@@ -726,13 +762,29 @@ func (r *Relay) step() bool {
 		if !r.force {
 			return false
 		}
-		r.force = false
+		forced = true
 		r.mBreaks.Inc()
-	} else {
-		r.force = false
 	}
+	r.force = false
 	r.heapPop()
+	start := h.pos
 	h.pos++
+	if !forced {
+		// Keep the flush cadence of record-at-a-time dispatch: a run
+		// never carries the buffer past FlushBatch.
+		end := min(len(h.recs), start+max(1, r.cfg.FlushBatch-len(r.outBuf)))
+		var limit *trace.Record // the next-best head
+		if len(r.heap) > 0 {
+			o := &r.heads[r.heap[0]]
+			limit = &o.recs[o.pos]
+		}
+		for h.pos < end && r.extends(lanes, li, first, &h.recs[h.pos], limit, closing) {
+			h.pos++
+		}
+	}
+	if !r.killed.Load() {
+		r.dispatch(h.recs[start:h.pos])
+	}
 	if h.pos == len(h.recs) {
 		lanes[li].consumedRecs.Add(uint64(len(h.recs)))
 		if h.pooled {
@@ -743,10 +795,27 @@ func (r *Relay) step() bool {
 	} else {
 		r.heapPush(int32(li))
 	}
-	if !r.killed.Load() {
-		r.dispatch(rec)
-	}
 	return true
+}
+
+// extends reports whether next, the record after the current run on
+// lane li, may join the run that began with first: same source, sorts
+// before limit (the next-best head, nil when there is none), and clear
+// of every other lane's watermark. A failed watermark check is not a
+// stall (the run so far still goes out), so it leaves no stall or retry
+// state behind.
+func (r *Relay) extends(lanes []*lane, li int, first, next, limit *trace.Record, closing bool) bool {
+	if next.Node != first.Node || next.Process != first.Process {
+		return false
+	}
+	if limit != nil && !next.Before(*limit) {
+		return false
+	}
+	if closing || r.clearFor(lanes, li, next.Time) {
+		return true
+	}
+	r.stalled, r.retry = -1, false
+	return false
 }
 
 // clearFor reports whether dispatching a record with capture Time t
@@ -804,23 +873,27 @@ func (r *Relay) finalDrain() {
 	r.advanceAcks()
 }
 
-// dispatch runs one merged record through the root causal merge or the
-// inner-tier pass-through, and counts emission per source — the
-// currency the ack gate trades in. At the root, a record parked by the
-// causal merger (a receive whose send is still in flight on another
-// lane) stays unemitted and therefore keeps its batch unacked; the
-// downstream's replay window covers it across a relay crash.
-func (r *Relay) dispatch(rec trace.Record) {
+// dispatch runs one merged run of a single source through the root
+// causal merge or the inner-tier pass-through, and counts emission per
+// source — the currency the ack gate trades in — once per emitted run.
+// At the root, a record parked by the causal merger (a receive whose
+// send is still in flight on another lane) stays unemitted and
+// therefore keeps its batch unacked; the downstream's replay window
+// covers it across a relay crash.
+func (r *Relay) dispatch(run []trace.Record) {
+	prev := len(r.outBuf)
 	if r.cm != nil {
-		prev := len(r.outBuf)
-		r.outBuf = r.cm.AddTo(r.outBuf, rec)
-		for _, e := range r.outBuf[prev:] {
-			r.emitted[trace.SourceKey{Node: e.Node, Process: e.Process}]++
-		}
+		r.outBuf = r.cm.AddRun(r.outBuf, run)
 		r.mHeld.Set(int64(r.cm.Held()))
 	} else {
-		r.emitted[trace.SourceKey{Node: rec.Node, Process: rec.Process}]++
-		r.outBuf = append(r.outBuf, rec)
+		r.outBuf = append(r.outBuf, run...)
+	}
+	// At the root the output may hold receives and queued successors
+	// of other sources that this run released.
+	for out := r.outBuf[prev:]; len(out) > 0; {
+		n := trace.RunLen(out)
+		r.emitted[trace.SourceKey{Node: out[0].Node, Process: out[0].Process}] += uint64(n)
+		out = out[n:]
 	}
 	if len(r.outBuf) >= r.cfg.FlushBatch {
 		r.flushOut()

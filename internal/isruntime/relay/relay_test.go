@@ -217,6 +217,30 @@ func skewPartition(nodes, leaves int) []int {
 	return part
 }
 
+// awaitAdmitted waits until the lane for downstream node has handed at
+// least n records to the merge. Drain only covers admitted records, and
+// a batch just sent over a pipe may still be inside the serve
+// goroutine, so a test that sends and then drains waits here first.
+func awaitAdmitted(t *testing.T, rel *Relay, node int32, n uint64) {
+	t.Helper()
+	awaitCond(t, "admission", func() bool {
+		ln := rel.lookupLane(node)
+		return ln != nil && ln.admittedRecs.Load() >= n
+	})
+}
+
+// awaitCond polls cond until it holds, failing the test after 5 s.
+func awaitCond(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 func TestMarkRecordRoundTrip(t *testing.T) {
 	m := markRecord(42)
 	if !isMarkBatch([]trace.Record{m}) {
@@ -274,12 +298,14 @@ func TestRelayAdmissionOrderAndGatedAcks(t *testing.T) {
 		t.Fatalf("acked %d before the hole closed", f)
 	}
 	batch(1, rec(0, 10), rec(1, 20))
+	awaitAdmitted(t, rel, 7, 4)
 	rel.Drain()
 	if f := rel.ackFrontier(7); f != 2 {
 		t.Fatalf("ack frontier = %d, want 2 after both batches dispatched", f)
 	}
 	// An in-band mark occupies seq 3 and is trivially satisfied.
 	batch(3, markRecord(99))
+	awaitCond(t, "mark admission", func() bool { return rel.Stats().Marks == 1 })
 	rel.Drain()
 	if f := rel.ackFrontier(7); f != 3 {
 		t.Fatalf("ack frontier = %d, want 3 after mark", f)
@@ -322,8 +348,10 @@ func TestRelayPartitionRejects(t *testing.T) {
 		}
 	}
 	send(a1, 100, 1, trace.Record{Node: 5, Kind: trace.KindUser, Time: 1, Logical: 0})
+	awaitAdmitted(t, rel, 100, 1)
 	rel.Drain()
 	send(a2, 101, 1, trace.Record{Node: 5, Kind: trace.KindUser, Time: 2, Logical: 1})
+	awaitCond(t, "rejecting admission", func() bool { return rel.Stats().PartitionRejects > 0 })
 	rel.Drain()
 	deadline := time.Now().Add(5 * time.Second)
 	for rel.Stats().PartitionRejects == 0 {
@@ -406,6 +434,66 @@ func TestRelayMaxStallForcesProgress(t *testing.T) {
 	}
 	if err := rel.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRelayRunDispatch drives the merger by hand, one step at a time,
+// to pin what a dispatched run may cover: a run of one lane's
+// same-source records stops before the next-best head and before the
+// first record another lane's watermark does not clear, and a MaxStall
+// force releases exactly one record.
+func TestRelayRunDispatch(t *testing.T) {
+	r := newRelay(Config{Downstreams: 2}) // no merger goroutine: step is ours
+	a, b := r.laneFor(100), r.laneFor(101)
+	recs := func(node int32, times ...int64) []trace.Record {
+		rs := make([]trace.Record, len(times))
+		for i, tm := range times {
+			rs[i] = trace.Record{Node: node, Kind: trace.KindUser, Time: tm, Logical: uint64(i)}
+		}
+		return rs
+	}
+	r.admit(a, 1, recs(1, 10, 11, 12, 30, 31, 32), false)
+	r.admit(b, 1, recs(2, 20, 21), false)
+	r.admit(b, 2, []trace.Record{markRecord(30)}, false)
+
+	var last int
+	step := func(wantTimes ...int64) {
+		t.Helper()
+		progressed := r.step()
+		got := r.outBuf[last:]
+		last = len(r.outBuf)
+		if progressed != (len(wantTimes) > 0) || len(got) != len(wantTimes) {
+			t.Fatalf("step dispatched %v (progress %v), want Times %v", got, progressed, wantTimes)
+		}
+		for i, rec := range got {
+			if rec.Time != wantTimes[i] {
+				t.Fatalf("step dispatched %v, want Times %v", got, wantTimes)
+			}
+		}
+	}
+	step(10, 11, 12) // stops before lane 101's head (Time 20)
+	step(20, 21)     // lane 101's batch ends; its mark keeps the watermark at 30
+	step(30)         // 31 is past lane 101's watermark
+	step()           // a stall on lane 101
+	if r.stalled != b.idx {
+		t.Fatalf("stalled on lane %d, want %d", r.stalled, b.idx)
+	}
+	r.force = true
+	step(31) // the MaxStall escape: one record, not the blocked 32 behind it
+	if got := r.mBreaks.Value(); got != 1 {
+		t.Fatalf("order breaks = %d, want 1", got)
+	}
+	step()
+	r.admit(b, 3, []trace.Record{markRecord(100)}, false)
+	step(32)
+	step()
+	if got := r.mBreaks.Value(); got != 1 {
+		t.Fatalf("order breaks = %d, want 1", got)
+	}
+	for key, want := range map[trace.SourceKey]uint64{{Node: 1}: 6, {Node: 2}: 2} {
+		if got := r.emitted[key]; got != want {
+			t.Fatalf("emitted[%v] = %d, want %d", key, got, want)
+		}
 	}
 }
 

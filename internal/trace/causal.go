@@ -54,12 +54,13 @@ type msgKey struct {
 // are dropped. The Sequencer does not look at record kinds and does
 // not assign logical timestamps — that is the CausalMerger's job.
 type Sequencer struct {
-	resume    bool
-	nextSeq   map[SourceKey]uint64
-	held      map[SourceKey][]seqRecord // out-of-order input buffers
-	heldCount int
-	maxHeld   int
-	sequenced uint64
+	resume     bool
+	nextSeq    map[SourceKey]uint64
+	held       map[SourceKey][]seqRecord // out-of-order input buffers
+	heldCount  int
+	maxHeld    int
+	sequenced  uint64
+	outOfOrder uint64
 }
 
 // NewSequencer returns an empty Sequencer.
@@ -80,6 +81,11 @@ func (s *Sequencer) MaxHeld() int { return s.maxHeld }
 // Sequenced returns the total number of records released in program
 // order.
 func (s *Sequencer) Sequenced() uint64 { return s.sequenced }
+
+// OutOfOrder returns the total number of records not released on
+// arrival: held back for a program-order predecessor or dropped as
+// duplicates.
+func (s *Sequencer) OutOfOrder() uint64 { return s.outOfOrder }
 
 // Resume makes the sequencer adopt an unseen source's first capture
 // sequence as that source's starting point instead of holding it back
@@ -121,6 +127,7 @@ func (s *Sequencer) AddTo(dst []Record, rec Record, seq uint64) []Record {
 	}
 	want := s.nextSeq[key]
 	if seq != want {
+		s.outOfOrder++
 		if seq < want {
 			// Duplicate or replayed record; drop.
 			return dst
@@ -135,6 +142,10 @@ func (s *Sequencer) AddTo(dst []Record, rec Record, seq uint64) []Record {
 	dst = append(dst, rec)
 	s.sequenced++
 	s.nextSeq[key] = seq + 1
+	if s.heldCount == 0 {
+		// Nothing is held anywhere, so nothing can be unblocked.
+		return dst
+	}
 	// Drain held successors now contiguous with the cursor. Gaps are
 	// rare and buffers small; the linear scan per release matches the
 	// original Orderer.
@@ -166,6 +177,62 @@ func (s *Sequencer) AddTo(dst []Record, rec Record, seq uint64) []Record {
 	return dst
 }
 
+// AddRun offers a run — consecutive records of one source, each
+// carrying its capture sequence in Logical — and appends every record
+// that became releasable to dst. It is exactly AddTo(dst, r, r.Logical)
+// for each record of the run in order, released records keeping their
+// sequence in Logical. The common case is paid once per run instead of
+// once per record: when nothing of the source is held, the prefix that
+// continues the source's cursor contiguously is appended whole with one
+// cursor read and one cursor write. The rest of the run (a gap, a
+// duplicate, a source with held records) takes the per-record path.
+func (s *Sequencer) AddRun(dst []Record, run []Record) []Record {
+	if len(run) == 0 {
+		return dst
+	}
+	key := SourceKey{run[0].Node, run[0].Process}
+	if s.heldCount > 0 && s.held[key] != nil {
+		return s.addEach(dst, run)
+	}
+	want, seen := s.nextSeq[key]
+	if !seen && s.resume {
+		want = run[0].Logical
+	}
+	n := 0
+	for n < len(run) && run[n].Logical == want+uint64(n) {
+		n++
+	}
+	if n == 0 {
+		return s.addEach(dst, run)
+	}
+	dst = append(dst, run[:n]...)
+	s.sequenced += uint64(n)
+	s.nextSeq[key] = want + uint64(n)
+	return s.addEach(dst, run[n:])
+}
+
+func (s *Sequencer) addEach(dst []Record, recs []Record) []Record {
+	for _, r := range recs {
+		dst = s.AddTo(dst, r, r.Logical)
+	}
+	return dst
+}
+
+// RunLen returns the length of the run at the head of recs: the
+// maximal prefix of records sharing recs[0]'s source. It returns 0 for
+// an empty slice.
+func RunLen(recs []Record) int {
+	if len(recs) == 0 {
+		return 0
+	}
+	node, proc := recs[0].Node, recs[0].Process
+	n := 1
+	for n < len(recs) && recs[n].Node == node && recs[n].Process == proc {
+		n++
+	}
+	return n
+}
+
 // CausalMerger enforces the cross-source happens-before edges (a
 // KindRecv happens-after its matching KindSend, matched by Tag with
 // Payload holding the peer node) and assigns Lamport logical
@@ -182,18 +249,21 @@ func (s *Sequencer) AddTo(dst []Record, rec Record, seq uint64) []Record {
 // sharded-vs-single-orderer runs byte-comparable.
 type CausalMerger struct {
 	clock      uint64
-	sendSeen   map[msgKey]int      // multiset of dispatched sends
+	sendSeen   map[msgKey]int      // multiset of unmatched dispatched sends; no zero counts
 	recvsHeld  map[msgKey][]Record // receives waiting for sends
 	pending    map[SourceKey]*pendQueue
 	stalled    map[SourceKey]bool
 	heldCount  int
 	maxHeld    int
 	dispatched uint64
+	outOfOrder uint64
 }
 
 // pendQueue is a head-indexed FIFO of program-order successors parked
 // behind a stalled receive; popping advances head instead of
-// reslicing so drained queues recycle their backing arrays.
+// reslicing so drained queues recycle their backing arrays, and a
+// queue whose dead prefix passes half its length is compacted, so a
+// source that keeps re-stalling cannot grow the array without bound.
 type pendQueue struct {
 	buf  []Record
 	head int
@@ -225,11 +295,33 @@ func (m *CausalMerger) Dispatched() uint64 { return m.dispatched }
 // timestamp of the most recently dispatched record.
 func (m *CausalMerger) Clock() uint64 { return m.clock }
 
-func (m *CausalMerger) hold() {
-	m.heldCount++
+// OutOfOrder returns the total number of records not dispatched on
+// arrival: receives parked for their send and the records queued
+// behind them.
+func (m *CausalMerger) OutOfOrder() uint64 { return m.outOfOrder }
+
+func (m *CausalMerger) hold(n int) {
+	m.heldCount += n
 	if m.heldCount > m.maxHeld {
 		m.maxHeld = m.heldCount
 	}
+}
+
+// matchSend consumes one dispatched send from the multiset, deleting
+// the key when its count reaches zero (per-pair tags would otherwise
+// leave one dead key per message ever matched). It reports false when
+// no such send has been dispatched.
+func (m *CausalMerger) matchSend(mk msgKey) bool {
+	n := m.sendSeen[mk]
+	switch {
+	case n == 0:
+		return false
+	case n == 1:
+		delete(m.sendSeen, mk)
+	default:
+		m.sendSeen[mk] = n - 1
+	}
+	return true
 }
 
 // Observe replays one already-dispatched record back into the merger's
@@ -252,10 +344,8 @@ func (m *CausalMerger) Observe(rec Record) {
 	case KindRecv:
 		mk := msgKey{from: int32(rec.Payload), to: rec.Node, tag: rec.Tag}
 		// A causally valid trace never emits a receive before its send,
-		// so the guard only matters for hand-built inputs.
-		if m.sendSeen[mk] > 0 {
-			m.sendSeen[mk]--
-		}
+		// so a miss only happens for hand-built inputs.
+		m.matchSend(mk)
 	}
 }
 
@@ -267,30 +357,90 @@ func (m *CausalMerger) AddTo(dst []Record, rec Record) []Record {
 	if m.stalled[key] {
 		// A receive from this source is parked; program order forces
 		// everything behind it to wait too.
-		q := m.pending[key]
-		if q == nil {
-			q = &pendQueue{}
-			m.pending[key] = q
-		}
-		q.buf = append(q.buf, rec)
-		m.hold()
+		m.queue(key, []Record{rec})
 		return dst
 	}
-	return m.offer(dst, rec, key)
+	dst, parked := m.offer(dst, rec, key)
+	if parked {
+		m.outOfOrder++
+	}
+	return dst
 }
 
-func (m *CausalMerger) offer(dst []Record, rec Record, key SourceKey) []Record {
+// AddRun offers a run — consecutive records of one source, in program
+// order — and appends every record that became dispatchable to dst. It
+// is exactly AddTo for each record of the run in order, but looks up
+// the source's stall state once per run and stamps records that carry
+// no message edge inline. Sends and receives still go through the
+// matching path; when a receive parks, the rest of the run queues
+// behind it.
+func (m *CausalMerger) AddRun(dst []Record, run []Record) []Record {
+	if len(run) == 0 {
+		return dst
+	}
+	key := SourceKey{run[0].Node, run[0].Process}
+	if m.stalled[key] {
+		m.queue(key, run)
+		return dst
+	}
+	for len(run) > 0 {
+		// Stamp the stretch up to the next message record in place.
+		n := 0
+		for n < len(run) && run[n].Kind != KindSend && run[n].Kind != KindRecv {
+			n++
+		}
+		base := len(dst)
+		dst = append(dst, run[:n]...)
+		for i := base; i < len(dst); i++ {
+			m.clock++
+			dst[i].Logical = m.clock
+		}
+		m.dispatched += uint64(n)
+		if n == len(run) {
+			break
+		}
+		// Only this source's own receive can stall it: a release inside
+		// offer unblocks and drains other sources only.
+		var parked bool
+		if dst, parked = m.offer(dst, run[n], key); parked {
+			m.outOfOrder++
+			m.queue(key, run[n+1:])
+			break
+		}
+		run = run[n+1:]
+	}
+	return dst
+}
+
+// queue parks program-order successors behind key's stalled receive.
+func (m *CausalMerger) queue(key SourceKey, recs []Record) {
+	if len(recs) == 0 {
+		return
+	}
+	q := m.pending[key]
+	if q == nil {
+		q = &pendQueue{}
+		m.pending[key] = q
+	}
+	q.buf = append(q.buf, recs...)
+	m.outOfOrder += uint64(len(recs))
+	m.hold(len(recs))
+}
+
+// offer dispatches rec from an unstalled source, or parks it when it is
+// a receive whose send has not been dispatched; parked reports the
+// latter (the source is stalled from then on).
+func (m *CausalMerger) offer(dst []Record, rec Record, key SourceKey) (_ []Record, parked bool) {
 	if rec.Kind == KindRecv {
 		mk := msgKey{from: int32(rec.Payload), to: rec.Node, tag: rec.Tag}
-		if m.sendSeen[mk] == 0 {
+		if !m.matchSend(mk) {
 			m.recvsHeld[mk] = append(m.recvsHeld[mk], rec)
 			m.stalled[key] = true
-			m.hold()
-			return dst
+			m.hold(1)
+			return dst, true
 		}
-		m.sendSeen[mk]--
 	}
-	return m.release(dst, rec)
+	return m.release(dst, rec), false
 }
 
 func (m *CausalMerger) release(dst []Record, rec Record) []Record {
@@ -300,17 +450,20 @@ func (m *CausalMerger) release(dst []Record, rec Record) []Record {
 	m.dispatched++
 	if rec.Kind == KindSend {
 		mk := msgKey{from: rec.Node, to: int32(rec.Payload), tag: rec.Tag}
-		m.sendSeen[mk]++
-		// Unblock the oldest receive waiting on this send, then drain
-		// the successors queued behind it.
-		if waiting := m.recvsHeld[mk]; len(waiting) > 0 {
+		waiting := m.recvsHeld[mk]
+		if len(waiting) == 0 {
+			m.sendSeen[mk]++
+		} else {
+			// Unblock the oldest receive waiting on this send (the send
+			// is matched at once, so it never enters sendSeen), then
+			// drain the successors queued behind it.
 			r := waiting[0]
-			m.recvsHeld[mk] = waiting[1:]
-			if len(m.recvsHeld[mk]) == 0 {
+			if len(waiting) == 1 {
 				delete(m.recvsHeld, mk)
+			} else {
+				m.recvsHeld[mk] = waiting[1:]
 			}
 			m.heldCount--
-			m.sendSeen[mk]--
 			dst = m.release(dst, r)
 			rk := SourceKey{r.Node, r.Process}
 			delete(m.stalled, rk)
@@ -325,17 +478,26 @@ func (m *CausalMerger) drainPending(dst []Record, key SourceKey) []Record {
 	if q == nil {
 		return dst
 	}
-	for q.head < len(q.buf) && !m.stalled[key] {
+	for q.head < len(q.buf) {
 		rec := q.buf[q.head]
 		q.buf[q.head] = Record{}
 		q.head++
 		m.heldCount--
-		// May re-park (another receive with a missing send) — the loop
-		// condition stops the drain and the remainder stays queued.
-		dst = m.offer(dst, rec, key)
+		// May re-park (another receive with a missing send): the drain
+		// stops and the remainder stays queued.
+		var parked bool
+		if dst, parked = m.offer(dst, rec, key); parked {
+			break
+		}
 	}
-	if q.head == len(q.buf) {
+	switch {
+	case q.head == len(q.buf):
 		q.buf = q.buf[:0]
+		q.head = 0
+	case q.head > len(q.buf)/2:
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
 		q.head = 0
 	}
 	return dst
