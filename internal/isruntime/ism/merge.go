@@ -199,27 +199,15 @@ func (g *merger) frontierClear(lane int, k uint64) bool {
 		if i == lane || g.has[i] {
 			continue
 		}
-		// The done flag must be read BEFORE the ring length: done is
-		// set after the lane's final ring push, so a true read here
-		// guarantees the length check below sees the ring's final
-		// contents.
+		// The lane's progress must be read BEFORE its ring length. A
+		// lane pushes a batch's slot to the ring first and then sets
+		// done, raises its frontier or settles the batch, so each of
+		// those reads, once true, guarantees the length check below
+		// sees the slot. Reading the ring first opens a window where a
+		// slot with a tick below k lands and settles between the two
+		// reads, and the settled count passes for a promise about an
+		// empty ring.
 		done := s.done.Load()
-		if s.ring.Len() > 0 {
-			// A slot landed after refill; it may carry a tick below k,
-			// so pick it up before deciding.
-			g.retry = true
-			return false
-		}
-		if done {
-			// The lane has exited with an empty ring: nothing it ever
-			// sequenced remains, and late pushes are drops on the
-			// closed stage whose ticks postdate k. Without this exit
-			// the shutdown race livelocks: injectors hammering a
-			// closing ISM keep an in-flight push outstanding at every
-			// settled-count read, the frontier never clears, and a
-			// sibling lane parked on a full ring is never refilled.
-			continue
-		}
 		// pushed must be read BEFORE settled: a batch counted after the
 		// read drew its tick after k existed, so its tick exceeds k and
 		// cannot invalidate the dispatch. Reading the pair the other way
@@ -227,10 +215,22 @@ func (g *merger) frontierClear(lane int, k uint64) bool {
 		// batches (e.g. drops on a closing stage): settled would forever
 		// trail the in-flight push between the two loads.
 		p := s.pushedBatches.Load()
-		if s.settledBatches.Load() >= p {
-			continue
+		settled := s.settledBatches.Load() >= p
+		past := s.frontier.Load() >= k
+		if s.ring.Len() > 0 {
+			// A slot landed after refill; it may carry a tick below k,
+			// so pick it up before deciding.
+			g.retry = true
+			return false
 		}
-		if s.frontier.Load() >= k {
+		// A done lane has exited with an empty ring: nothing it ever
+		// sequenced remains, and late pushes are drops on the closed
+		// stage whose ticks postdate k. Without this exit the shutdown
+		// race livelocks: injectors hammering a closing ISM keep an
+		// in-flight push outstanding at every settled-count read, the
+		// frontier never clears, and a sibling lane parked on a full
+		// ring is never refilled.
+		if done || settled || past {
 			continue
 		}
 		g.stalledOn = i
@@ -268,16 +268,10 @@ func (g *merger) dispatch(slot mergeSlot) {
 			// program order with a fresh per-source uplink sequence in
 			// Logical — contiguous even when the inbound capture
 			// sequence stream was not (dedup, resume adoption).
-			for rest := slot.recs; len(rest) > 0; {
-				run := rest[:trace.RunLen(rest)]
-				rest = rest[len(run):]
-				key := trace.SourceKey{Node: run[0].Node, Process: run[0].Process}
-				next := g.uplinkSeq[key]
-				for i := range run {
-					run[i].Logical = next
-					next++
-				}
-				g.uplinkSeq[key] = next
+			for i := range slot.recs {
+				key := trace.SourceKey{Node: slot.recs[i].Node, Process: slot.recs[i].Process}
+				slot.recs[i].Logical = g.uplinkSeq[key]
+				g.uplinkSeq[key]++
 			}
 		}
 		m.ctr.latency.Observe(m.clock.Now() - slot.arrival)

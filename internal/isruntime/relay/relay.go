@@ -135,7 +135,7 @@ type lane struct {
 	// changes once decided, so the relay-wide owner table (and its
 	// mutex) is consulted once per new source, not once per record.
 	claims  map[trace.SourceKey]bool
-	needBuf []sourceNeed // per-batch ack-need accumulator
+	scratch map[trace.SourceKey]uint64 // per-batch ack-need accumulator
 
 	ring  *flow.SPSC[laneSlot]
 	space chan struct{}
@@ -436,13 +436,14 @@ func (r *Relay) laneFor(node int32) *lane {
 	}
 	cur := *r.lanes.Load()
 	ln := &lane{
-		node:   node,
-		idx:    len(cur),
-		held:   make(map[int64]heldBatch),
-		seq:    trace.NewSequencer(),
-		claims: make(map[trace.SourceKey]bool),
-		ring:   flow.NewSPSC[laneSlot](r.cfg.LaneRing),
-		space:  make(chan struct{}, 1),
+		node:    node,
+		idx:     len(cur),
+		held:    make(map[int64]heldBatch),
+		seq:     trace.NewSequencer(),
+		claims:  make(map[trace.SourceKey]bool),
+		scratch: make(map[trace.SourceKey]uint64),
+		ring:    flow.NewSPSC[laneSlot](r.cfg.LaneRing),
+		space:   make(chan struct{}, 1),
 	}
 	// A relay can (re)start against downstreams already mid-stream; the
 	// restore cursors override adoption per source as they are claimed.
@@ -478,6 +479,10 @@ func (r *Relay) onHello(node int32, acked int64) {
 			}
 		}
 		r.mResumes.Inc()
+		// Batches held above the old floor may now continue the new
+		// one. The session layer has already absorbed them and dedups
+		// their replays, so nothing else would ever admit them.
+		r.admitHeld(ln)
 	}
 	ln.admitMu.Unlock()
 	ln.ackMu.Lock()
@@ -522,24 +527,30 @@ func (r *Relay) admit(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 	}
 	r.process(ln, seq, recs, pooled)
 	ln.nextBatch = seq
+	r.admitHeld(ln)
+	ln.admitMu.Unlock()
+}
+
+// admitHeld processes the held batches that continue the admission
+// floor, in sequence order. Runs with ln.admitMu held.
+func (r *Relay) admitHeld(ln *lane) {
 	for {
 		hb, ok := ln.held[ln.nextBatch+1]
 		if !ok {
-			break
+			return
 		}
 		delete(ln.held, ln.nextBatch+1)
 		ln.nextBatch++
 		r.process(ln, ln.nextBatch, hb.recs, hb.pooled)
 	}
-	ln.admitMu.Unlock()
 }
 
 // process runs one contiguously admitted batch: watermark application
 // for marks; ownership check, record-granular dedup, ring hand-off and
 // ack gating for data. Data is admitted a run at a time (a run is a
 // maximal stretch of one source's records): one ownership check, one
-// sequencer call and one ack-need fold per run. Runs with ln.admitMu
-// held.
+// sequencer call and one ack-need map update per run. Runs with
+// ln.admitMu held.
 func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 	if isMarkBatch(recs) {
 		w := recs[0].Time
@@ -555,11 +566,11 @@ func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 		r.signal()
 		return
 	}
+	clear(ln.scratch)
 	out := flow.GetBatch(len(recs))
 	held0 := ln.seq.Held()
 	maxT := int64(math.MinInt64)
 	rejects := 0
-	needs := ln.needBuf[:0]
 	for rest := recs; len(rest) > 0; {
 		run := rest[:trace.RunLen(rest)]
 		rest = rest[len(run):]
@@ -573,10 +584,11 @@ func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 			maxT = max(maxT, run[i].Time)
 			maxSeq = max(maxSeq, run[i].Logical)
 		}
-		needs = foldNeed(needs, key, maxSeq)
+		if s, ok := ln.scratch[key]; !ok || maxSeq > s {
+			ln.scratch[key] = maxSeq
+		}
 		out = ln.seq.AddRun(out, run)
 	}
-	ln.needBuf = needs
 	if rejects > 0 {
 		r.mRejects.Add(uint64(rejects))
 	}
@@ -589,8 +601,13 @@ func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 	if absorbed := len(recs) - rejects - len(out) - heldDelta; absorbed > 0 {
 		r.mDups.Add(uint64(absorbed))
 	}
-	// The entry outlives the batch; needBuf is reused for the next one.
-	needs = append([]sourceNeed(nil), needs...)
+	var needs []sourceNeed
+	if len(ln.scratch) > 0 {
+		needs = make([]sourceNeed, 0, len(ln.scratch))
+		for k, s := range ln.scratch {
+			needs = append(needs, sourceNeed{key: k, seq: s})
+		}
+	}
 	ln.ackMu.Lock()
 	ln.pendAcks = append(ln.pendAcks, ackEntry{seq: seq, needs: needs})
 	ln.ackMu.Unlock()
@@ -615,19 +632,6 @@ func (r *Relay) process(ln *lane, seq int64, recs []trace.Record, pooled bool) {
 		ln.wmGauge.Set(ln.watermark.Load())
 	}
 	r.signal()
-}
-
-// foldNeed raises key's ack need in needs to at least seq, appending
-// the key if the batch has not named it yet. A batch names few
-// sources, so a linear scan beats a map.
-func foldNeed(needs []sourceNeed, key trace.SourceKey, seq uint64) []sourceNeed {
-	for i := range needs {
-		if needs[i].key == key {
-			needs[i].seq = max(needs[i].seq, seq)
-			return needs
-		}
-	}
-	return append(needs, sourceNeed{key: key, seq: seq})
 }
 
 // claim enforces source partitioning: a source's first lane owns it
