@@ -49,13 +49,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# stress re-runs the concurrent relay and merge tests many times under
-# the race detector, so a test that fails one run in ten shows up here
-# instead of flaking in the tier-1 gate. TestCloseRacingInject alone
-# runs ~40 s under -race on 2 CPUs, hence the longer timeout.
+# stress re-runs the concurrent relay, session and merge tests many
+# times under the race detector, so a test that fails one run in ten
+# shows up here instead of flaking in the tier-1 gate.
+# TestCloseRacingInject runs to a 5 s budget under -race, so the ISM
+# step takes a few minutes at the default count; hence the longer
+# timeout.
 STRESSCOUNT ?= 20
 stress:
-	$(GO) test -race -count=$(STRESSCOUNT) ./internal/isruntime/relay/ ./internal/trace/
+	$(GO) test -race -count=$(STRESSCOUNT) ./internal/isruntime/relay/ ./internal/isruntime/fault/ ./internal/trace/
 	$(GO) test -race -count=$(STRESSCOUNT) -timeout 30m -run 'TestMerge|TestShardedOrderedEquivalence|TestCloseRacingInject' ./internal/isruntime/ism/
 
 # bench records a committed baseline: -count runs of every benchmark,
@@ -75,13 +77,15 @@ benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) test -run=NONE -bench='$(SWEEPBENCH)' -benchtime=1x -cpu 4 .
 
-# fuzzsmoke gives the decoder fuzz targets a short budget: enough to
-# catch a decode regression on the corpus plus fresh mutations, cheap
-# enough to sit inside the tier-1 gate. Both ends of the columnar
-# codec's life are covered: segment files and wire frames.
+# fuzzsmoke gives the fuzz targets a short budget: enough to catch a
+# regression on the corpus plus fresh mutations, cheap enough to sit
+# inside the tier-1 gate. Both ends of the columnar codec's life are
+# covered — segment files and wire frames — plus the session
+# receiver's dedup and ack rules.
 fuzzsmoke:
 	$(GO) test -run=NONE -fuzz='FuzzSegmentDecode' -fuzztime=10s ./internal/trace
 	$(GO) test -run=NONE -fuzz='FuzzColumnarFrameDecode' -fuzztime=10s ./internal/isruntime/tp
+	$(GO) test -run=NONE -fuzz='FuzzReceiver' -fuzztime=10s ./internal/isruntime/fault
 
 # benchdiff compares two committed baselines and fails on ns/op
 # regressions past THRESHOLD percent:

@@ -3,10 +3,14 @@ package main
 import (
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"prism/internal/isruntime/metrics"
+	"prism/internal/trace"
 )
 
 // spillFlagSet mirrors the spill-related subset of main's flag
@@ -208,5 +212,55 @@ func TestWireStatLines(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReadResumeSpool: the streamed resume read returns exactly the
+// records a previous relay spooled plus the file size, and treats a
+// missing or empty spool as nothing to resume.
+func TestReadResumeSpool(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "root.bin")
+	want := make([]trace.Record, 3000)
+	for i := range want {
+		want[i] = trace.Record{Node: int32(i % 4), Process: 1, Kind: trace.KindUser, Time: int64(i), Payload: int64(i)}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := trace.NewWriter(f)
+	if err := w.WriteAll(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, n, err := readResumeSpool(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != st.Size() {
+		t.Fatalf("size = %d, want %d", n, st.Size())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("read %d records, want the %d written", len(got), len(want))
+	}
+
+	empty := filepath.Join(dir, "empty.bin")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{empty, filepath.Join(dir, "missing.bin")} {
+		if got, n, err := readResumeSpool(p); err != nil || n != 0 || got != nil {
+			t.Fatalf("%s: got %d records, size %d, err %v; want nothing", p, len(got), n, err)
+		}
 	}
 }

@@ -43,9 +43,6 @@ type Config struct {
 	// (counted in Stats.OrderBreaks). Zero means wait forever — strict
 	// ordering, at the mercy of the slowest downstream's marks.
 	MaxStall time.Duration
-	// AckEvery is the receipt-ack cadence handed to the session
-	// receiver; the dispatch-gated acks advance independently of it.
-	AckEvery int
 	// FlushBatch bounds the dispatch buffer in records before it is
 	// flushed to the spool and subscribers. Zero means 512.
 	FlushBatch int
@@ -158,6 +155,14 @@ type lane struct {
 	ringGauge *metrics.Gauge
 	wmGauge   *metrics.Gauge
 	lagGauge  *metrics.Gauge
+}
+
+// bind records conn as the downstream's live connection: the one
+// dispatch-gated acks go out on.
+func (ln *lane) bind(conn tp.Conn) {
+	ln.connMu.Lock()
+	ln.conn = conn
+	ln.connMu.Unlock()
 }
 
 // signalSpace tells a lane blocked on a full ring that the merger
@@ -326,7 +331,6 @@ func newRelay(cfg Config) *Relay {
 		}
 	}
 	r.recv = fault.NewReceiver(fault.ReceiverConfig{
-		AckEvery:    cfg.AckEvery,
 		Clock:       cfg.Clock,
 		Metrics:     reg,
 		AckFrontier: r.ackFrontier,
@@ -373,6 +377,13 @@ func (r *Relay) Serve(conn tp.Conn) {
 			if err != nil {
 				return
 			}
+			if m.Type == tp.MsgControl && m.Control == tp.CtlHello {
+				// Bind before the receiver reads the frontier for its
+				// hello reply: a gated ack advanceAcks sends to the old
+				// connection after that read is then one the reply
+				// already carries.
+				r.laneFor(m.Node).bind(conn)
+			}
 			if r.recv.Filter(conn, m) {
 				continue
 			}
@@ -406,9 +417,7 @@ func (r *Relay) inject(conn tp.Conn, m tp.Message) {
 		pooled = true
 	}
 	ln := r.laneFor(m.Node)
-	ln.connMu.Lock()
-	ln.conn = conn
-	ln.connMu.Unlock()
+	ln.bind(conn)
 	r.admit(ln, m.Arg, recs, pooled)
 }
 

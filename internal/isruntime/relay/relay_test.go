@@ -260,7 +260,7 @@ func TestMarkRecordRoundTrip(t *testing.T) {
 // the ack frontier without emitting anything, and acks never run ahead
 // of dispatch.
 func TestRelayAdmissionOrderAndGatedAcks(t *testing.T) {
-	rel := New(Config{Root: true, AckEvery: 1})
+	rel := New(Config{Root: true})
 	var mu sync.Mutex
 	var got []trace.Record
 	rel.Subscribe("collect", func(r trace.Record) {
@@ -351,6 +351,78 @@ func TestRelayHelloAdmitsHeldBatches(t *testing.T) {
 	rel.Drain()
 	if f := rel.ackFrontier(7); f != 4 {
 		t.Fatalf("ack frontier = %d, want 4", f)
+	}
+	if err := rel.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRelayHelloRebindsAckConn: the relay acks fresh data only through
+// its dispatch-gated frontier, on the connection the downstream last
+// spoke on — and a hello counts. An ack the merger produces after a
+// reconnect, before any fresh data arrives there, must reach the new
+// connection rather than the dead one.
+func TestRelayHelloRebindsAckConn(t *testing.T) {
+	rel := New(Config{Root: true})
+	oldUp, oldDown := tp.Pipe(64)
+	newUp, newDown := tp.Pipe(64)
+	rel.Serve(oldDown)
+	rel.Serve(newDown)
+	acks := func(c tp.Conn) <-chan int64 {
+		ch := make(chan int64, 16)
+		go func() {
+			for {
+				m, err := c.Recv()
+				if err != nil {
+					return
+				}
+				if m.Type == tp.MsgControl && m.Control == tp.CtlAck {
+					ch <- m.Arg
+				}
+			}
+		}()
+		return ch
+	}
+	oldAcks, newAcks := acks(oldUp), acks(newUp)
+	next := func(what string, ch <-chan int64, want int64) {
+		t.Helper()
+		select {
+		case got := <-ch:
+			if got != want {
+				t.Fatalf("%s: ack %d, want %d", what, got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: no ack", what)
+		}
+	}
+	rec := func(seq uint64, tm int64) []trace.Record {
+		return []trace.Record{{Node: 3, Kind: trace.KindUser, Time: tm, Logical: seq}}
+	}
+
+	m := tp.DataMessage(7, rec(0, 10))
+	m.Arg = 1
+	if err := oldUp.Send(m); err != nil {
+		t.Fatal(err)
+	}
+	awaitAdmitted(t, rel, 7, 1)
+	rel.Drain()
+	// The first ack is the gated one: no receipt ack at frontier 0
+	// precedes it.
+	next("dispatch of batch 1", oldAcks, 1)
+
+	if err := newUp.Send(tp.ControlMessage(7, tp.CtlHello, 1)); err != nil {
+		t.Fatal(err)
+	}
+	next("hello reply", newAcks, 1)
+	// Batch 2 reaches the lane without passing through either
+	// connection, so only the hello can have bound the new one.
+	rel.admit(rel.laneFor(7), 2, rec(1, 20), false)
+	rel.Drain()
+	next("dispatch of batch 2", newAcks, 2)
+	select {
+	case got := <-oldAcks:
+		t.Fatalf("ack %d went to the connection the downstream left", got)
+	default:
 	}
 	if err := rel.Close(); err != nil {
 		t.Fatal(err)
@@ -523,7 +595,7 @@ func TestRelayRunDispatch(t *testing.T) {
 // DrainFor must report the stall instead of hanging, and Close's final
 // drain must still dispatch the held records.
 func TestRelayDrainForStalledTail(t *testing.T) {
-	rel := New(Config{Root: true, Downstreams: 2, AckEvery: 1})
+	rel := New(Config{Root: true, Downstreams: 2})
 	var mu sync.Mutex
 	var got []trace.Record
 	rel.Subscribe("collect", func(r trace.Record) {
@@ -595,7 +667,7 @@ func TestFederationMergeEquivalence(t *testing.T) {
 	part := skewPartition(nodes, leaves)
 	finalMark := int64(len(all)) + 2
 
-	rel := New(Config{Root: true, AckEvery: 1, Downstreams: leaves})
+	rel := New(Config{Root: true, Downstreams: leaves})
 	var mu sync.Mutex
 	var got []trace.Record
 	rel.Subscribe("collect", func(r trace.Record) {
@@ -673,7 +745,7 @@ func TestFederationThreeLevelTree(t *testing.T) {
 	part := skewPartition(nodes, leaves)
 	finalMark := int64(len(all)) + 2
 
-	root := New(Config{Root: true, AckEvery: 1, Downstreams: 2})
+	root := New(Config{Root: true, Downstreams: 2})
 	var mu sync.Mutex
 	var got []trace.Record
 	root.Subscribe("collect", func(r trace.Record) {
@@ -687,7 +759,7 @@ func TestFederationThreeLevelTree(t *testing.T) {
 	for i := range inners {
 		a, b := tp.Pipe(256)
 		root.Serve(b)
-		inners[i] = New(Config{AckEvery: 1, Downstreams: 2}) // non-root: pass-through tier
+		inners[i] = New(Config{Downstreams: 2}) // non-root: pass-through tier
 		innerUps[i] = NewUplink(int32(200+i), a, UplinkConfig{BatchSize: 64, Window: 512})
 		inners[i].SubscribeBatch("uplink", innerUps[i].Push)
 	}
@@ -795,7 +867,7 @@ func TestFederationCrashResumeExactlyOnce(t *testing.T) {
 	newIncarnation := func(resume []trace.Record) *Relay {
 		spool := &bytes.Buffer{}
 		spools = append(spools, spool)
-		rel := New(Config{Root: true, AckEvery: 1, Downstreams: leaves, Resume: resume, Spool: spool})
+		rel := New(Config{Root: true, Downstreams: leaves, Resume: resume, Spool: spool})
 		curMu.Lock()
 		cur = rel
 		curMu.Unlock()

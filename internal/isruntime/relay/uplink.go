@@ -180,7 +180,7 @@ func (u *Uplink) takeLocked() []trace.Record {
 }
 
 // sendLocked forwards one pooled batch through the session, which
-// copies it into the replay window before transmission; retryable
+// encodes it into the replay window before transmission; retryable
 // transport failures are absorbed (the batch replays on reconnect).
 // Called with u.mu held: the session stamps sequence numbers under its
 // own lock but transmits outside it, so the uplink's lock is what

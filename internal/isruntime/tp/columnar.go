@@ -96,7 +96,8 @@ func WithWireMode(m WireMode) ConnOption {
 // ColumnarSender is implemented by connections that can report whether
 // the columnar encoding is active toward the peer (capability
 // advertised by both sides). The session layer uses it to decide
-// whether to hold replay-window batches in encoded form.
+// whether to attach its encoded replay-window bodies to outgoing
+// messages or decode records from them.
 type ColumnarSender interface {
 	ColumnarActive() bool
 }

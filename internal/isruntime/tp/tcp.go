@@ -168,7 +168,7 @@ func (c *streamConn) appendWireLocked(buf []byte, m *Message) ([]byte, int, erro
 			flow.PutBatch(rs)
 			return buf, 0, fmt.Errorf("tp: pre-encoded body: %v: %w", err, ErrCorruptFrame)
 		}
-		out, err := AppendMessage(buf, Message{Type: m.Type, Node: m.Node, Records: rs})
+		out, err := AppendMessage(buf, Message{Type: m.Type, Node: m.Node, Arg: m.Arg, Records: rs})
 		flow.PutBatch(rs)
 		return out, m.EncCount, err
 	}
