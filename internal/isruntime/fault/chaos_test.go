@@ -32,7 +32,7 @@ type soakServer struct {
 
 func newSoakServer() *soakServer {
 	return &soakServer{
-		recv: NewReceiver(ReceiverConfig{AckEvery: 1}),
+		recv: NewReceiver(ReceiverConfig{}),
 		seen: make(map[int64]int),
 	}
 }
